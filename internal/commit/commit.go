@@ -94,9 +94,13 @@ const maxPeers = 64
 // peerQueue is one peer's slice of the outbound coalescer. Each queue has
 // its own lock so workers enqueueing to different followers never contend;
 // two pipelines sharing a follower contend only on that follower's queue.
+// spare is the backing array of the previous flush, handed back once its
+// batch was sent (every SendBatch copies or encodes the batch before it
+// returns), so a busy queue stops regrowing from zero on every cycle.
 type peerQueue struct {
-	mu   sync.Mutex
-	msgs []wire.Msg
+	mu    sync.Mutex
+	msgs  []wire.Msg
+	spare []wire.Msg
 }
 
 // Engine runs the reliable commit protocol on one node.
@@ -213,8 +217,12 @@ func (p *outPipe) compactLocked() {
 }
 
 type outSlot struct {
-	tx        wire.TxID
+	tx wire.TxID
+	// inv is the slot's current R-INV. It starts out pointing at invBuf, so
+	// a slot and its R-INV are one allocation; epoch rewrites swap in a
+	// fresh copy (copy-on-write: the original may still be in flight).
 	inv       *wire.CommitInv
+	invBuf    wire.CommitInv
 	followers wire.Bitmap
 	acked     wire.Bitmap
 	// extraVal are nodes to include in this slot's R-VAL broadcast even
@@ -223,7 +231,10 @@ type outSlot struct {
 	extraVal wire.Bitmap
 	valed    bool
 	done     chan struct{}
-	// Crash-aware resend pacing (see resendPolicy).
+	// Crash-aware resend pacing (see resendPolicy). nextResend starts one
+	// initial backoff after registration; retr is started on the slot's
+	// first resend, so slots that validate in time (all of them in steady
+	// state) never allocate one.
 	retr       *retry.Retrier
 	nextResend time.Time
 	// Observability (zero unless the engine has an obs bundle): openedAt
@@ -361,31 +372,51 @@ func (e *Engine) flushOut() {
 		q := &e.coQ[to]
 		q.mu.Lock()
 		msgs := q.msgs
-		q.msgs = nil
+		q.msgs, q.spare = q.spare, nil
 		q.mu.Unlock()
-		if len(msgs) == 0 {
-			continue
+		if len(msgs) > 0 {
+			e.coCount.Add(int32(-len(msgs)))
+			_ = transport.SendBatch(e.tr, wire.NodeID(to), msgs)
+			clear(msgs) // the spare must not pin sent messages
 		}
-		e.coCount.Add(int32(-len(msgs)))
-		_ = transport.SendBatch(e.tr, wire.NodeID(to), msgs)
+		q.giveBack(msgs)
 	}
+}
+
+// giveBack returns a flushed batch's backing array as the queue's spare. A
+// concurrent flush of the same queue may have left a spare already; either
+// array will do, so the second one is dropped.
+func (q *peerQueue) giveBack(msgs []wire.Msg) {
+	if cap(msgs) == 0 {
+		return
+	}
+	q.mu.Lock()
+	if q.spare == nil {
+		q.spare = msgs[:0]
+	}
+	q.mu.Unlock()
 }
 
 // coalesceLoop flushes the outbound coalescer at most coalesceInterval after
 // the first message of a batch was queued (count-triggered flushes happen
-// inline in enqueue).
+// inline in enqueue). One timer serves every cycle: it is armed on wake-up
+// and has always fired by the time the loop waits for the next wake-up.
 func (e *Engine) coalesceLoop() {
+	t := time.NewTimer(coalesceInterval)
+	t.Stop()
 	for {
 		select {
 		case <-e.closed:
 			return
 		case <-e.coWake:
 		}
+		t.Reset(coalesceInterval)
 		select {
 		case <-e.closed:
+			t.Stop()
 			e.flushOut()
 			return
-		case <-time.After(coalesceInterval):
+		case <-t.C:
 		}
 		e.coArmed.Store(false) // before the flush: racing enqueues re-arm
 		e.flushOut()
@@ -566,18 +597,16 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 		cts = e.clock.Next()
 	}
 
-	inv := &wire.CommitInv{Tx: tx, Epoch: epoch, Followers: followers, PrevVal: prevVal, Updates: updates, CTS: cts}
-	slot := &outSlot{tx: tx, inv: inv, followers: followers, done: make(chan struct{}), retr: resendPolicy.Start(), tr: tr}
-	if wait, ok := slot.retr.Next(); ok {
-		// Share one clock read between resend pacing and the obs phase
-		// stamp: on this path time.Now() is the dominant obs cost.
-		now := time.Now()
-		slot.nextResend = now.Add(wait)
-		if e.obs != nil {
-			slot.openedAt = now
-		}
-	} else if e.obs != nil {
-		slot.openedAt = time.Now()
+	slot := &outSlot{tx: tx, followers: followers, done: make(chan struct{}), tr: tr,
+		invBuf: wire.CommitInv{Tx: tx, Epoch: epoch, Followers: followers, PrevVal: prevVal, Updates: updates, CTS: cts}}
+	inv := &slot.invBuf
+	slot.inv = inv
+	// Share one clock read between resend pacing and the obs phase stamp:
+	// on this path time.Now() is the dominant obs cost.
+	now := time.Now()
+	slot.nextResend = now.Add(resendPolicy.InitialBackoff)
+	if e.obs != nil {
+		slot.openedAt = now
 	}
 	p.slots[local] = slot
 	p.order = append(p.order, slot)
@@ -591,17 +620,14 @@ func (e *Engine) CommitTraced(w wire.Worker, updates []wire.Update, followers wi
 		e.completeSlot(p, slot)
 		return tx, slot.done
 	}
-	// Batched fan-out: marshal once for the byte accounting, then hand the
-	// R-INV to the per-peer coalescer, so back-to-back pipeline slots to
-	// the same follower ride one transport batch.
-	enc := wire.GetBuf()
-	enc.B = wire.AppendMarshal(enc.B, inv)
-	size := uint64(len(enc.B))
-	wire.PutBuf(enc)
-	for _, n := range followers.Nodes() {
-		e.enqueue(n, inv)
-		e.stBytes.Add(size)
+	// Batched fan-out: hand the R-INV to the per-peer coalescer, so
+	// back-to-back pipeline slots to the same follower ride one transport
+	// batch. The byte accounting uses the exact encoded size.
+	size, _ := wire.CommitMsgSize(inv)
+	for b := followers; b != 0; b &= b - 1 {
+		e.enqueue(wire.NodeID(bits.TrailingZeros64(uint64(b))), inv)
 	}
+	e.stBytes.Add(uint64(size * followers.Count()))
 	if ob := e.obs; ob != nil {
 		ob.fanout.Add(uint64(followers.Count()))
 	}
@@ -665,9 +691,12 @@ func (e *Engine) completeSlot(p *outPipe, s *outSlot) {
 	s.tr.Event("val")
 	e.recCommitted(s.inv.Updates, true, cts)
 
-	val := &wire.CommitVal{Tx: s.tx, Epoch: s.inv.Epoch}
-	for _, n := range s.followers.Union(extra).Nodes() {
-		e.enqueue(n, val) // coalesced with neighbouring slots' R-VALs
+	if b := s.followers.Union(extra); b != 0 {
+		val := &wire.CommitVal{Tx: s.tx, Epoch: s.inv.Epoch}
+		for ; b != 0; b &= b - 1 {
+			// Coalesced with neighbouring slots' R-VALs.
+			e.enqueue(wire.NodeID(bits.TrailingZeros64(uint64(b))), val)
+		}
 	}
 	e.stCommitted.Add(1)
 	s.tr.Event("applied")
@@ -915,7 +944,8 @@ func (e *Engine) handleAck(m *wire.CommitAck) {
 		}
 		live := e.agent.View().Live
 		self := wire.BitmapOf(e.self)
-		var complete []*outSlot
+		var completeBuf [4]*outSlot // usually one slot: no heap slice
+		complete := completeBuf[:0]
 		p.mu.Lock()
 		if s := p.slots[m.Tx.Local]; s != nil {
 			s.acked = s.acked.Add(m.From)
@@ -1197,6 +1227,11 @@ func (e *Engine) resendLoop() {
 						s *outSlot
 					}{p, s})
 					continue
+				}
+				if s.retr == nil {
+					// The first backoff was waited out from registration.
+					s.retr = resendPolicy.Start()
+					s.retr.Next()
 				}
 				wait, _ := s.retr.Next()
 				s.nextResend = now.Add(wait)

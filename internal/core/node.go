@@ -19,11 +19,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,7 +212,7 @@ type Node struct {
 // Commit/Abort, keyed by the sampling sequence number. Escape-analysis
 // discipline keeps the unsampled hot path allocation-free: (1) the Tx
 // carries only the uint64 key — a *obs.Trace field would give Commit a
-// depth-1 content-leak summary and heap-allocate EVERY transaction's maps,
+// depth-1 content-leak summary and heap-allocate EVERY transaction,
 // read-only ones included; (2) the table is its own allocation rather than
 // inline Node fields — its methods lock the mutex, which leaks their
 // receiver, and as a Node field that would put tx.n one dereference from
@@ -674,19 +675,76 @@ type Tx struct {
 	n        *Node
 	worker   int
 	ro       bool
-	snap     bool                     // snapshot read (SnapshotReads mode): serve from the ring
-	at       uint64                   // snapshot timestamp (snap only)
-	reads    map[wire.ObjectID]uint64 // version observed at first read
-	readBuf  map[wire.ObjectID][]byte // stable snapshot of reads
-	writes   map[wire.ObjectID][]byte // private copies (opacity)
-	held     map[wire.ObjectID]*store.Object
+	snap     bool   // snapshot read (SnapshotReads mode): serve from the ring
+	at       uint64 // snapshot timestamp (snap only)
 	finished bool
 	durable  <-chan struct{}
 	// trID keys this transaction's sampled trace in Node.liveTraces (0 for
 	// the unsampled majority). Deliberately NOT a *obs.Trace: a pointer
 	// field handed to the commit engine would leak the Tx's content in
-	// Commit's escape summary and heap-allocate every transaction's maps.
+	// Commit's escape summary and heap-allocate every transaction.
 	trID uint64
+	// The access set: one entry per object touched, in first-access order
+	// until Commit sorts it. Entries live in inline until the set outgrows
+	// it, then all of them move to spill. Lookups scan linearly — a
+	// transaction touches a handful of objects. The Tx never points into
+	// itself (no slice over inline is stored), so a Tx that does not escape
+	// stays on its caller's stack.
+	inline [inlineAccesses]access
+	nacc   int
+	spill  []access
+}
+
+// inlineAccesses is the access-set capacity held inside the Tx itself; it
+// covers every transaction of the bundled workloads.
+const inlineAccesses = 4
+
+// access is one object of a transaction's access set.
+type access struct {
+	id      wire.ObjectID
+	ver     uint64        // version observed at first read (read only)
+	readBuf []byte        // stable snapshot of the read (read only)
+	write   []byte        // private copy (opacity; written only)
+	held    *store.Object // local ownership held, nil otherwise
+	read    bool
+	written bool
+}
+
+// accesses returns the access set.
+func (tx *Tx) accesses() []access {
+	if tx.spill != nil {
+		return tx.spill
+	}
+	return tx.inline[:tx.nacc]
+}
+
+// find returns obj's access entry, nil if the transaction never touched it.
+func (tx *Tx) find(id wire.ObjectID) *access {
+	acc := tx.accesses()
+	for i := range acc {
+		if acc[i].id == id {
+			return &acc[i]
+		}
+	}
+	return nil
+}
+
+// entry returns obj's access entry, adding an empty one on first touch.
+func (tx *Tx) entry(id wire.ObjectID) *access {
+	if a := tx.find(id); a != nil {
+		return a
+	}
+	if tx.spill == nil && tx.nacc < len(tx.inline) {
+		tx.inline[tx.nacc] = access{id: id}
+		tx.nacc++
+		return &tx.inline[tx.nacc-1]
+	}
+	if tx.spill == nil {
+		tx.spill = make([]access, tx.nacc, 2*len(tx.inline))
+		copy(tx.spill, tx.inline[:tx.nacc])
+	}
+	tx.spill = append(tx.spill, access{id: id})
+	return &tx.spill[len(tx.spill)-1]
 }
 
 // Begin starts a write transaction on an automatically assigned worker.
@@ -699,13 +757,7 @@ func (n *Node) Begin() *Tx {
 // BeginOn starts a write transaction on a specific worker thread. Worker ids
 // map 1:1 onto reliable-commit pipelines (§5.2, §7).
 func (n *Node) BeginOn(worker int) *Tx {
-	return &Tx{
-		n: n, worker: worker % n.cfg.Workers,
-		reads:   make(map[wire.ObjectID]uint64),
-		readBuf: make(map[wire.ObjectID][]byte),
-		writes:  make(map[wire.ObjectID][]byte),
-		held:    make(map[wire.ObjectID]*store.Object),
-	}
+	return &Tx{n: n, worker: worker % n.cfg.Workers}
 }
 
 // BeginRO starts a read-only transaction: local, strictly serializable on
@@ -716,11 +768,12 @@ func (n *Node) BeginRO() *Tx {
 	return n.beginRO(int(n.nextWorker.Add(1)))
 }
 
-// beginRO must stay inlinable (with BeginOn) into its callers: the whole
-// Tx, maps included, then stack-allocates for short transactions. The
-// snapshot timestamp is therefore minted lazily in snapshotGet, not here —
-// a clock call would blow the inlining budget for every RO transaction,
-// snapshot mode or not.
+// beginRO must stay inlinable (with BeginOn) into its callers: a caller that
+// keeps the Tx to itself (Node.BeginRO and the public API over it) then
+// stack-allocates it, inline access set included; through dbapi the Tx
+// escapes into the interface value regardless. The snapshot timestamp is
+// therefore minted lazily in snapshotGet, not here — a clock call would blow
+// the inlining budget for every RO transaction, snapshot mode or not.
 func (n *Node) beginRO(worker int) *Tx {
 	tx := n.BeginOn(worker)
 	tx.ro = true
@@ -734,13 +787,13 @@ var errNeedOwnership = fmt.Errorf("core: ownership level missing")
 // Get returns the value of obj as seen by the transaction (tr_open_read).
 func (tx *Tx) Get(obj uint64) ([]byte, error) {
 	id := wire.ObjectID(obj)
-	if !tx.ro {
-		if w, ok := tx.writes[id]; ok {
-			return append([]byte(nil), w...), nil
+	if a := tx.find(id); a != nil {
+		if a.written {
+			return append([]byte(nil), a.write...), nil
 		}
-	}
-	if b, ok := tx.readBuf[id]; ok {
-		return append([]byte(nil), b...), nil
+		if a.read {
+			return append([]byte(nil), a.readBuf...), nil
+		}
 	}
 	if tx.snap {
 		return tx.snapshotGet(id)
@@ -776,8 +829,7 @@ func (tx *Tx) Get(obj uint64) ([]byte, error) {
 		tx.release()
 		return nil, dbapi.ErrConflict
 	}
-	tx.reads[id] = ver
-	tx.readBuf[id] = data
+	tx.recordRead(id, ver, data)
 	return append([]byte(nil), data...), nil
 }
 
@@ -821,10 +873,16 @@ func (tx *Tx) snapshotGet(id wire.ObjectID) ([]byte, error) {
 	if !ok {
 		return nil, dbapi.ErrConflict
 	}
-	tx.reads[id] = e.Version
-	tx.readBuf[id] = e.Data
+	tx.recordRead(id, e.Version, e.Data)
 	n.stSnapReads.Add(1)
 	return append([]byte(nil), e.Data...), nil
+}
+
+// recordRead notes the first read of id: the version observed and the bytes
+// read, which later Gets return and validateReads re-checks.
+func (tx *Tx) recordRead(id wire.ObjectID, ver uint64, data []byte) {
+	a := tx.entry(id)
+	a.read, a.ver, a.readBuf = true, ver, data
 }
 
 // waitSafe delays until the safe-time covers the snapshot timestamp
@@ -863,24 +921,27 @@ func (tx *Tx) Set(obj uint64, val []byte) error {
 		return fmt.Errorf("core: Set on read-only transaction")
 	}
 	id := wire.ObjectID(obj)
-	if _, ok := tx.held[id]; !ok {
-		if err := tx.ensureWritable(id); err != nil {
+	a := tx.find(id)
+	if a == nil || a.held == nil {
+		o, err := tx.ensureWritable(id)
+		if err != nil {
 			return err
 		}
+		a = tx.entry(id)
+		a.held = o
 		// If the object was read before being locked, it must not have
 		// changed in between (snapshot consistency).
-		if ver, wasRead := tx.reads[id]; wasRead {
-			o, _ := tx.n.st.Get(id)
+		if a.read {
 			o.Mu.Lock()
 			cur := o.TVersion
 			o.Mu.Unlock()
-			if cur != ver {
+			if cur != a.ver {
 				tx.release()
 				return dbapi.ErrConflict
 			}
 		}
 	}
-	tx.writes[id] = append([]byte(nil), val...)
+	a.written, a.write = true, append([]byte(nil), val...)
 	return nil
 }
 
@@ -905,8 +966,9 @@ func (tx *Tx) ensureReadable(id wire.ObjectID) error {
 }
 
 // ensureWritable secures exclusive write access: owner level via the
-// ownership protocol (remote) plus local ownership via try-lock (§7).
-func (tx *Tx) ensureWritable(id wire.ObjectID) error {
+// ownership protocol (remote) plus local ownership via try-lock (§7). It
+// returns the object now held; the caller records it in the access set.
+func (tx *Tx) ensureWritable(id wire.ObjectID) (*store.Object, error) {
 	n := tx.n
 	o, _ := n.st.GetOrCreate(id)
 	for attempt := 0; attempt < 3; attempt++ {
@@ -919,21 +981,20 @@ func (tx *Tx) ensureWritable(id wire.ObjectID) error {
 			if !o.GrantLocalLocked(int32(tx.worker)) {
 				o.Mu.Unlock()
 				tx.release()
-				return dbapi.ErrConflict // abort + retry
+				return nil, dbapi.ErrConflict // abort + retry
 			}
-			tx.held[id] = o
 			o.Mu.Unlock()
-			return nil
+			return o, nil
 		}
 		o.Mu.Unlock()
 		if err := n.own.AcquireOwnership(id); err != nil {
 			tx.release()
-			return ownershipErr(err)
+			return nil, ownershipErr(err)
 		}
 		n.maybeTrim(id)
 	}
 	tx.release()
-	return dbapi.ErrConflict
+	return nil, dbapi.ErrConflict
 }
 
 // ownershipErr maps ownership failures to the retryable conflict error,
@@ -1010,23 +1071,23 @@ func (n *Node) maybeTrim(id wire.ObjectID) {
 // transactions still lock briefly: their validation additionally reads the
 // access level (owner-visible TWrite values).
 func (tx *Tx) validateReads() bool {
-	for id, ver := range tx.reads {
-		if _, written := tx.writes[id]; written {
-			continue // protected by local ownership
+	for _, a := range tx.accesses() {
+		if !a.read || a.written {
+			continue // unread, or protected by local ownership
 		}
-		o, ok := tx.n.st.Get(id)
+		o, ok := tx.n.st.Get(a.id)
 		if !ok {
 			return false
 		}
 		if tx.ro {
 			v, st := o.TSnapshot()
-			if v != ver || st != store.TValid {
+			if v != a.ver || st != store.TValid {
 				return false
 			}
 			continue
 		}
 		o.Mu.Lock()
-		okv := o.TVersion == ver && (o.TState == store.TValid ||
+		okv := o.TVersion == a.ver && (o.TState == store.TValid ||
 			(o.TState == store.TWrite && o.Level == wire.Owner))
 		o.Mu.Unlock()
 		if !okv {
@@ -1052,7 +1113,14 @@ func (tx *Tx) Commit() error {
 		tr = n.liveTraces.take(tx.trID)
 	}
 
-	if tx.ro || len(tx.writes) == 0 {
+	acc := tx.accesses()
+	writes := 0
+	for _, a := range acc {
+		if a.written {
+			writes++
+		}
+	}
+	if writes == 0 {
 		// Snapshot transactions are already serializable at their fixed
 		// timestamp: every read came from an immutable ring entry chosen
 		// at `at`, so there is nothing to re-validate (and validating
@@ -1076,14 +1144,14 @@ func (tx *Tx) Commit() error {
 	}
 
 	// Local commit: verify ownership of the write set (still held), then
-	// validate the read snapshot.
-	ids := make([]wire.ObjectID, 0, len(tx.writes))
-	for id := range tx.writes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		o := tx.held[id]
+	// validate the read snapshot. The set is sorted by object id in place,
+	// so R-INV updates leave in ascending ObjectID order.
+	slices.SortFunc(acc, func(a, b access) int { return cmp.Compare(a.id, b.id) })
+	for _, a := range acc {
+		if !a.written {
+			continue
+		}
+		o := a.held
 		if o == nil {
 			tx.release()
 			n.stAborts.Add(1)
@@ -1107,16 +1175,18 @@ func (tx *Tx) Commit() error {
 	}
 
 	// Apply: install private copies, bump versions, mark Write state.
-	updates := make([]wire.Update, 0, len(ids))
+	updates := make([]wire.Update, 0, writes)
 	var followers wire.Bitmap
-	for _, id := range ids {
-		o := tx.held[id]
-		data := tx.writes[id]
+	for _, a := range acc {
+		if !a.written {
+			continue
+		}
+		o := a.held
 		o.Mu.Lock()
-		o.Data = data
+		o.Data = a.write
 		o.SetTLocked(o.TVersion+1, store.TWrite)
 		o.PendingCommits.Add(1)
-		updates = append(updates, wire.Update{Obj: id, Version: o.TVersion, Data: data})
+		updates = append(updates, wire.Update{Obj: a.id, Version: o.TVersion, Data: a.write})
 		followers = followers.Union(o.Replicas.Readers)
 		o.Mu.Unlock()
 	}
@@ -1152,10 +1222,14 @@ func (tx *Tx) Abort() {
 // tests and drain paths do.
 func (tx *Tx) Durable() <-chan struct{} { return tx.durable }
 
+// release gives up the local ownership of every held object.
 func (tx *Tx) release() {
-	for id, o := range tx.held {
-		o.ReleaseLocal(int32(tx.worker))
-		delete(tx.held, id)
+	acc := tx.accesses()
+	for i := range acc {
+		if o := acc[i].held; o != nil {
+			o.ReleaseLocal(int32(tx.worker))
+			acc[i].held = nil
+		}
 	}
 }
 

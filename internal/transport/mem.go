@@ -100,25 +100,6 @@ func (t *MemTransport) sendable() error {
 	return nil
 }
 
-// commitMsgSize returns the exact marshalled size of the reliable-commit
-// messages (used by the zero-copy fast path to keep byte accounting honest
-// without actually encoding).
-func commitMsgSize(m wire.Msg) (int, bool) {
-	switch v := m.(type) {
-	case *wire.CommitInv:
-		n := 42 // kind + tx + epoch + followers + prevval + replay + count + cts
-		for _, u := range v.Updates {
-			n += 20 + len(u.Data)
-		}
-		return n, true
-	case *wire.CommitAck:
-		return 30, true // + applied watermark
-	case *wire.CommitVal:
-		return 20, true
-	}
-	return 0, false
-}
-
 // roundtrip runs m through the codec so that tests exercise serialization
 // and receivers never alias sender memory. The encode buffer is pooled.
 //
@@ -132,7 +113,7 @@ func commitMsgSize(m wire.Msg) (int, bool) {
 // accounting uses the exact encoded size so bandwidth numbers stay
 // comparable with the real fabrics.
 func (t *MemTransport) roundtrip(m wire.Msg) (wire.Msg, error) {
-	if n, ok := commitMsgSize(m); ok {
+	if n, ok := wire.CommitMsgSize(m); ok {
 		t.hub.msgs.Add(1)
 		t.hub.bytes.Add(uint64(n))
 		return m, nil
@@ -202,7 +183,7 @@ func (t *MemTransport) Multicast(dsts []wire.NodeID, m wire.Msg) error {
 	if len(dsts) == 0 {
 		return nil
 	}
-	if n, ok := commitMsgSize(m); ok {
+	if n, ok := wire.CommitMsgSize(m); ok {
 		t.hub.msgs.Add(uint64(len(dsts)))
 		t.hub.bytes.Add(uint64(n) * uint64(len(dsts)))
 		var err error

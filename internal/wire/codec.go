@@ -402,6 +402,33 @@ func (d *dec) objsList() []ObjectID {
 	return out
 }
 
+// CommitMsgSize returns the exact marshalled size of a reliable-commit
+// message (R-INV, R-ACK or R-VAL) without encoding it; ok is false for every
+// other kind. The in-memory transport's zero-copy path and the commit
+// engine's byte accounting both count with it, so it must track
+// AppendMarshal byte for byte (wire_test pins it).
+func CommitMsgSize(m Msg) (n int, ok bool) {
+	const (
+		kind  = 1
+		tx    = 2 + 1 + 4 + 8 // pipe node, worker, incarnation, local id
+		epoch = 4
+	)
+	switch v := m.(type) {
+	case *CommitInv:
+		// followers, prev-VAL and replay flags, update count, CTS
+		n = kind + tx + epoch + 8 + 1 + 1 + 4 + 8
+		for _, u := range v.Updates {
+			n += 8 + 8 + 4 + len(u.Data) // object, version, length, data
+		}
+		return n, true
+	case *CommitAck:
+		return kind + tx + epoch + 2 + 8, true // + from, applied watermark
+	case *CommitVal:
+		return kind + tx + epoch, true
+	}
+	return 0, false
+}
+
 // EncodedSize returns an upper bound on m's marshalled size, exact for the
 // payload-carrying kinds. Marshal uses it to allocate the output buffer in
 // one shot instead of growing through append.

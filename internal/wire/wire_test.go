@@ -437,3 +437,39 @@ func TestBufPoolRecycles(t *testing.T) {
 	big := &Buf{B: make([]byte, 1<<17)}
 	PutBuf(big) // must not panic or pin
 }
+
+// TestCommitMsgSizeMatchesCodec pins the counted size of the
+// reliable-commit messages to the codec: byte accounting on the zero-copy
+// path must not drift from what a real fabric would carry.
+func TestCommitMsgSizeMatchesCodec(t *testing.T) {
+	tx := TxID{Pipe: PipeID{Node: 3, Worker: 7, Incar: 2}, Local: 1 << 40}
+	cases := []struct {
+		name string
+		m    Msg
+		want int
+	}{
+		{"inv/0 updates", &CommitInv{Tx: tx, Epoch: 4, Followers: BitmapOf(1, 2)}, 42},
+		{"inv/1 update nil data", &CommitInv{Tx: tx, Updates: []Update{{Obj: 9, Version: 3}}}, 62},
+		{"inv/1 update", &CommitInv{Tx: tx, PrevVal: true, CTS: 77,
+			Updates: []Update{{Obj: 9, Version: 3, Data: make([]byte, 120)}}}, 182},
+		{"inv/3 updates", &CommitInv{Tx: tx, Replay: true, Updates: []Update{
+			{Obj: 1, Version: 1, Data: []byte("a")},
+			{Obj: 2, Version: 2},
+			{Obj: 3, Version: 3, Data: make([]byte, 300)},
+		}}, 42 + 3*20 + 1 + 300},
+		{"ack", &CommitAck{Tx: tx, Epoch: 4, From: 2, AppliedWM: 1 << 50}, 30},
+		{"val", &CommitVal{Tx: tx, Epoch: 4}, 20},
+	}
+	for _, c := range cases {
+		got, ok := CommitMsgSize(c.m)
+		if !ok {
+			t.Fatalf("%s: not recognized as a commit message", c.name)
+		}
+		if enc := len(AppendMarshal(nil, c.m)); got != enc || got != c.want {
+			t.Errorf("%s: CommitMsgSize %d, encoded %d, want %d", c.name, got, enc, c.want)
+		}
+	}
+	if _, ok := CommitMsgSize(&OwnReq{}); ok {
+		t.Error("OwnReq counted as a commit message")
+	}
+}
