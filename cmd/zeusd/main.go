@@ -40,7 +40,6 @@ import (
 	"zeus/internal/core"
 	"zeus/internal/membership"
 	"zeus/internal/obs"
-	"zeus/internal/ownership"
 	"zeus/internal/storage/filestorage"
 	"zeus/internal/transport"
 	"zeus/internal/viewsvc"
@@ -174,8 +173,6 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Degree = *degree
 	cfg.Workers = *workers
-	cfg.DirectoryShards = *dirShards
-	cfg.Ownership = ownership.DefaultConfig(firstThree(members))
 	if *dataDir != "" {
 		stg, err := filestorage.Open(*dataDir)
 		if err != nil {
@@ -353,22 +350,6 @@ func waitSignal() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-}
-
-// firstThree picks the directory nodes for the legacy static directory (the
-// sharded directory ignores it): the three lowest founding ids.
-func firstThree(members wire.Bitmap) wire.Bitmap {
-	var dirs wire.Bitmap
-	for i, n := range members.Nodes() {
-		if i == 3 {
-			break
-		}
-		dirs = dirs.Add(n)
-	}
-	if dirs == 0 {
-		dirs = wire.BitmapOf(0, 1, 2)
-	}
-	return dirs
 }
 
 func splitAddrs(s string) []string {

@@ -108,16 +108,19 @@ func TestKillOwnerUnderLoad(t *testing.T) {
 	}
 }
 
-// TestKillDirectoryNodeOwnershipContinues crashes one of the three directory
-// replicas; ownership requests keep succeeding through the surviving ones.
+// TestKillDirectoryNodeOwnershipContinues crashes one of the three drivers
+// of an object's directory shard; ownership requests keep succeeding through
+// the surviving ones.
 func TestKillDirectoryNodeOwnershipContinues(t *testing.T) {
 	c := New(DefaultOptions(5))
 	defer c.Close()
 	c.SeedAt(2, 3, []byte("dir-test"))
-	if err := c.Kill(1); err != nil { // node 1 is a directory node
+	// A driver that is neither the owner (3) nor the acquirer (4).
+	victim := c.DirDrivers(2).Remove(3).Remove(4).Nodes()[0]
+	if err := c.Kill(int(victim)); err != nil {
 		t.Fatal(err)
 	}
-	// Ownership transfer must still work via directory nodes 0 and 2.
+	// Ownership transfer must still work via the surviving drivers.
 	err := dbapi.Run(c.Node(4).DB(), 0, func(tx dbapi.Txn) error {
 		return tx.Set(2, []byte("after-dir-crash"))
 	})

@@ -16,8 +16,11 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.Nodes() != 4 {
 		t.Fatalf("nodes = %d", c.Nodes())
 	}
-	if c.Dirs() != wire.BitmapOf(0, 1, 2) {
-		t.Fatalf("dirs = %v", c.Dirs())
+	// Every object's shard is driven by three of the four live nodes.
+	for obj := wire.ObjectID(0); obj < 64; obj++ {
+		if d := c.DirDrivers(obj); d.Count() != 3 || d.Intersect(c.Live()) != d {
+			t.Fatalf("obj %d: drivers = %v", obj, d)
+		}
 	}
 	if c.Live().Count() != 4 {
 		t.Fatalf("live = %v", c.Live())
@@ -33,8 +36,10 @@ func TestDefaultsAndAccessors(t *testing.T) {
 func TestSmallClusterDirsClamped(t *testing.T) {
 	c := New(DefaultOptions(2))
 	defer c.Close()
-	if c.Dirs().Count() != 2 {
-		t.Fatalf("dirs on 2-node cluster = %v", c.Dirs())
+	for obj := wire.ObjectID(0); obj < 64; obj++ {
+		if d := c.DirDrivers(obj); d != c.Live() {
+			t.Fatalf("obj %d: drivers on 2-node cluster = %v", obj, d)
+		}
 	}
 }
 
@@ -64,15 +69,20 @@ func TestSeedEstablishesReplicasAndDirectory(t *testing.T) {
 		}
 		ro.Mu.Unlock()
 	}
-	// Directory entry exists on node 2 even though it is a non-replica.
-	d, ok := c.Node(2).Store().Get(5)
-	if !ok {
-		t.Fatal("dir node missing entry")
-	}
-	d.Mu.Lock()
-	defer d.Mu.Unlock()
-	if d.Replicas.Owner != 3 || d.Level != wire.NonReplica {
-		t.Fatalf("dir entry: %+v", d.Replicas)
+	// Every driver holds the directory entry, the non-replica node 2
+	// included when it drives the object's shard.
+	reps := wire.ReplicaSet{Owner: 3, Readers: wire.BitmapOf(0, 1)}
+	for _, id := range c.DirDrivers(5).Nodes() {
+		d, ok := c.Node(int(id)).Store().Get(5)
+		if !ok {
+			t.Fatalf("driver %d missing entry", id)
+		}
+		d.Mu.Lock()
+		owner, lvl := d.Replicas.Owner, d.Level
+		d.Mu.Unlock()
+		if owner != 3 || lvl != reps.LevelOf(id) {
+			t.Fatalf("driver %d entry: owner %d level %v", id, owner, lvl)
+		}
 	}
 }
 

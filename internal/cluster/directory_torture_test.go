@@ -202,12 +202,10 @@ func TestDirectoryDriverCrashUnderLoad(t *testing.T) {
 	// shards node 3 drove.
 	pulls := uint64(0)
 	for _, id := range c.Live().Nodes() {
-		if svc := c.nodes[id].DirectoryService(); svc != nil {
-			st := svc.Stats()
-			pulls += st.Pulls
-			if st.Syncing != 0 {
-				t.Fatalf("node %d still syncing %d shards after recovery", id, st.Syncing)
-			}
+		st := c.nodes[id].DirectoryService().Stats()
+		pulls += st.Pulls
+		if st.Syncing != 0 {
+			t.Fatalf("node %d still syncing %d shards after recovery", id, st.Syncing)
 		}
 	}
 	if pulls == 0 {

@@ -70,15 +70,7 @@ type Config struct {
 	// plus a throttled multicast at the membership client), so these
 	// loops never contend on a shared mutex.
 	LeaseRenewEvery time.Duration
-	// DirectoryShards selects the ownership-directory implementation
-	// (§6.2): a value > 0 builds the sharded directory subsystem
-	// (internal/directory) — object → shard → drivers resolved from the
-	// placement map replicated through the view service, with the value as
-	// the shard count of the local fallback placement. 0 keeps the legacy
-	// static directory over Ownership.DirNodes (the degenerate 1-shard
-	// compat shim).
-	DirectoryShards int
-	// Ownership configures the ownership engine (directory nodes etc).
+	// Ownership configures the ownership engine's timeouts and retry policy.
 	Ownership ownership.Config
 	// Storage, when non-nil, makes the node durable: followers persist
 	// R-INVs before acking (the cluster-level durability choke point),
@@ -125,15 +117,13 @@ type Config struct {
 	WatchdogAge time.Duration
 }
 
-// DefaultConfig mirrors the paper's evaluation setup: 3-way replication, the
-// directory on the first three nodes.
+// DefaultConfig mirrors the paper's evaluation setup: 3-way replication.
 func DefaultConfig() Config {
 	return Config{
 		Degree:          3,
 		Workers:         8,
 		TrimReplicas:    true,
 		AutoAcquireRead: true,
-		Ownership:       ownership.DefaultConfig(wire.BitmapOf(0, 1, 2)),
 	}
 }
 
@@ -158,7 +148,7 @@ type Node struct {
 	agent  *membership.Agent
 	own    *ownership.Engine
 	cmt    *commit.Engine
-	dirsvc *directory.Service // nil with the static compat directory
+	dirsvc *directory.Service
 
 	// Safe-time plane (always wired; the exchange loop only runs with
 	// Config.SnapshotReads): the node's HLC (shared with the commit and
@@ -241,8 +231,8 @@ func (t *traceTable) take(id uint64) *obs.Trace {
 
 // NewNode builds and wires a node on the given transport and membership
 // agent. The node installs its message handler on the transport; extra
-// handlers (e.g. the load balancer's Hermes KV) can be registered on
-// Router() before traffic flows.
+// handlers (e.g. zeusd's view-service client) can be registered on Router()
+// before traffic flows.
 func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cfg Config) *Node {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 3
@@ -281,28 +271,19 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cf
 		incarnation = rec.Incarnation
 		maxCTS = rec.MaxCTS
 	}
-	// Sharded ownership directory (§6.2): when enabled, ownership REQs
-	// resolve object → shard → drivers through the replicated placement
-	// map instead of the fixed DirNodes set. The service registers its
-	// view-change hook here, BEFORE the engines', so a placement diff (and
-	// the shard metadata pulls it triggers) precedes the ownership pause /
-	// recovery machinery of the same view change. The cfg fix-up happens
-	// before the Node copies it, so there is exactly one Config to read.
-	var dirsvc *directory.Service
-	if cfg.DirectoryShards > 0 && cfg.Ownership.Directory == nil {
-		dirsvc = directory.NewService(id, st, tr, agent, directory.Options{
-			Shards: cfg.DirectoryShards,
-			Degree: 3,
-		})
-		cfg.Ownership.Directory = dirsvc
-	}
+	// Sharded ownership directory (§6.2): ownership REQs resolve object →
+	// shard → drivers through the replicated placement map. The service
+	// registers its view-change hook here, BEFORE the engines', so a
+	// placement diff (and the shard metadata pulls it triggers) precedes
+	// the ownership pause / recovery machinery of the same view change.
+	dirsvc := directory.NewService(id, st, tr, agent)
 	n := &Node{id: id, cfg: cfg, st: st, tr: tr, agent: agent, dirsvc: dirsvc,
 		trimQ: make(chan trimReq, trimQueueDepth), closedCh: make(chan struct{}),
 		stg: cfg.Storage, recovered: recovered, incarnation: incarnation,
 		syncPending: pending}
 	n.router = transport.NewRouter()
 	n.cmt = commit.New(id, st, tr, agent)
-	n.own = ownership.New(id, st, tr, agent, cfg.Ownership)
+	n.own = ownership.New(id, st, tr, agent, dirsvc, cfg.Ownership)
 	// One HLC per node, shared by both engines: commit stamps CTSs from it,
 	// ownership merges the CTS riding on grants back in. Recovery seeds it
 	// above every persisted timestamp so the new lifetime never reuses one.
@@ -360,9 +341,7 @@ func NewNode(id wire.NodeID, tr transport.Transport, agent *membership.Agent, cf
 	n.own.HasPendingCommit = n.cmt.HasPending
 	n.own.Register(n.router)
 	n.cmt.Register(n.router)
-	if n.dirsvc != nil {
-		n.dirsvc.Register(n.router)
-	}
+	n.dirsvc.Register(n.router)
 	// Sharded delivery (§5.2/§7): keyed protocol traffic fans out to
 	// per-pipe / per-object handler goroutines so independent pipelines
 	// apply in parallel. Defaults to min(Workers, GOMAXPROCS) — extra
@@ -558,8 +537,7 @@ func (n *Node) Router() *transport.Router { return n.router }
 // OwnershipEngine exposes the ownership engine (experiments measure it).
 func (n *Node) OwnershipEngine() *ownership.Engine { return n.own }
 
-// DirectoryService exposes the sharded-directory service, or nil when the
-// node runs the legacy static directory.
+// DirectoryService exposes the node's sharded-directory service.
 func (n *Node) DirectoryService() *directory.Service { return n.dirsvc }
 
 // CommitEngine exposes the reliable-commit engine.

@@ -6,26 +6,21 @@
 // at scale that turns the directory into the coordination bottleneck — every
 // ownership REQ for every object funnels through the same three arbiters.
 // This package hash-partitions the directory into S shards. Each shard is
-// driven by a small driver set (three nodes by default) chosen by rendezvous
+// driven by a small driver set (three nodes) chosen by rendezvous
 // hashing from the live view, and the shard→drivers placement map is part of
 // the replicated view-service state (wire.VSState.Placement): placement is
 // quorum-committed, versioned by the membership epoch, and survives view
 // changes and view-leader takeover exactly like membership itself.
 //
-// Two implementations of the Directory interface exist:
-//
-//   - Static: the degenerate 1-shard compat shim — a fixed driver set, the
-//     pre-sharding behaviour (ownership.Config.DirNodes).
-//   - Service: the full subsystem. It resolves placement from the node's
-//     membership agent (one atomic load on the REQ path), and heals driver
-//     churn: when a placement change makes this node a NEW driver of a
-//     shard (the previous driver crashed, or a joined node ranked into the
-//     set), the service pulls the shard's directory metadata — replica sets
-//     and ownership timestamps, never object data — from the surviving
-//     drivers (DIR-PULL / DIR-STATE), NACKing ownership REQs for that shard
-//     until the first snapshot lands (Ready). In-flight arbitrations need no
-//     transfer at all: every arbiter stores the full pending record, so the
-//     existing arb-replay path completes them per shard.
+// Service resolves placement from the node's membership agent (one atomic
+// load on the REQ path), and heals driver churn: when a placement change
+// makes this node a NEW driver of a shard (the previous driver crashed, or a
+// joined node ranked into the set), the service pulls the shard's directory
+// metadata — replica sets and ownership timestamps, never object data — from
+// the surviving drivers (DIR-PULL / DIR-STATE), NACKing ownership REQs for
+// that shard until the first snapshot lands (Ready). In-flight arbitrations
+// need no transfer at all: every arbiter stores the full pending record, so
+// the existing arb-replay path completes them per shard.
 package directory
 
 import (
@@ -39,71 +34,11 @@ import (
 	"zeus/internal/wire"
 )
 
-// Directory resolves object → shard → arbitration drivers for the ownership
-// engine.
-type Directory interface {
-	// Shards returns the shard count of the current placement.
-	Shards() int
-	// ShardOf maps an object to its directory shard.
-	ShardOf(obj wire.ObjectID) int
-	// DriversFor returns the driver set of obj's shard (not live-filtered;
-	// callers intersect with the view).
-	DriversFor(obj wire.ObjectID) wire.Bitmap
-	// DrivesShard reports whether n drives obj's shard.
-	DrivesShard(n wire.NodeID, obj wire.ObjectID) bool
-	// Ready reports whether this node may drive obj's shard right now (a
-	// new driver is not ready until it synced the shard's metadata).
-	Ready(obj wire.ObjectID) bool
-	// Authoritative reports whether one driver's directory answer is final
-	// (the fixed static directory) or requires corroboration (a sharded
-	// driver may have been force-readied with incomplete entries).
-	Authoritative() bool
-	// PlacementEpoch returns the current placement version.
-	PlacementEpoch() wire.Epoch
-}
-
-// ---------------------------------------------------------------------------
-// Static: the 1-shard compat shim.
-// ---------------------------------------------------------------------------
-
-// Static is the fixed-driver-set directory: one shard driven by the
-// configured nodes, always ready. It reproduces the pre-sharding DirNodes
-// behaviour exactly.
-type Static struct{ drivers wire.Bitmap }
-
-// NewStatic builds the compat shim over a fixed driver set.
-func NewStatic(drivers wire.Bitmap) Static { return Static{drivers: drivers} }
-
-func (s Static) Shards() int                          { return 1 }
-func (s Static) ShardOf(wire.ObjectID) int            { return 0 }
-func (s Static) DriversFor(wire.ObjectID) wire.Bitmap { return s.drivers }
-func (s Static) DrivesShard(n wire.NodeID, _ wire.ObjectID) bool {
-	return s.drivers.Contains(n)
-}
-func (s Static) Ready(wire.ObjectID) bool   { return true }
-func (s Static) Authoritative() bool        { return true }
-func (s Static) PlacementEpoch() wire.Epoch { return 0 }
-
-// ---------------------------------------------------------------------------
-// Service: the sharded directory.
-// ---------------------------------------------------------------------------
-
-// Options tunes a Service.
-type Options struct {
-	// Shards and Degree parameterize the LOCAL fallback placement, used
-	// only when the membership agent replicates no placement (hand-rolled
-	// deployments). When the view service replicates a placement — the
-	// normal case — the replicated map is authoritative, including its
-	// shard count.
-	Shards int
-	Degree int
-	// SyncTimeout bounds how long a newly assigned shard may wait for a
-	// DIR-STATE snapshot before the driver gives up and serves with what it
-	// has (liveness backstop: all snapshot sources may be dead, in which
-	// case the metadata is reconstructed lazily through arbitrations).
-	// Default 250ms.
-	SyncTimeout time.Duration
-}
+// syncTimeout bounds how long a newly assigned shard may wait for a
+// DIR-STATE snapshot before the driver gives up and serves with what it has
+// (liveness backstop: all snapshot sources may be dead, in which case the
+// metadata is reconstructed lazily through arbitrations).
+const syncTimeout = 250 * time.Millisecond
 
 // Stats counts Service activity (tests and diagnostics).
 type Stats struct {
@@ -121,11 +56,6 @@ type Service struct {
 	st    *store.Store
 	tr    transport.Transport
 	agent *membership.Agent
-	opts  Options
-
-	// fallback caches the locally computed placement per epoch when the
-	// agent replicates none.
-	fallback atomic.Pointer[wire.DirPlacement]
 
 	mu      sync.Mutex
 	last    wire.DirPlacement  // placement last diffed by viewChanged
@@ -160,22 +90,12 @@ type Service struct {
 // NewService builds the sharded directory for one node and hooks it into the
 // membership agent's view-change stream. Call Register to install its
 // DIR-PULL / DIR-STATE handlers before traffic flows.
-func NewService(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent, opts Options) *Service {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.Degree <= 0 {
-		opts.Degree = 3
-	}
-	if opts.SyncTimeout <= 0 {
-		opts.SyncTimeout = 250 * time.Millisecond
-	}
+func NewService(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent) *Service {
 	s := &Service{
 		self:    self,
 		st:      st,
 		tr:      tr,
 		agent:   agent,
-		opts:    opts,
 		syncing: make(map[int]wire.Epoch),
 		suspect: make(map[wire.ObjectID]wire.OTS),
 	}
@@ -203,36 +123,26 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// placement resolves the current placement: the replicated one when the
-// agent has it (one atomic load), else a locally computed per-epoch fallback.
-func (s *Service) placement() *wire.DirPlacement {
-	if p := s.agent.Placement(); p != nil && !p.IsZero() {
-		return p
-	}
-	v := s.agent.View()
-	if p := s.fallback.Load(); p != nil && p.Epoch == v.Epoch {
-		return p
-	}
-	np := wire.ComputePlacement(s.opts.Shards, s.opts.Degree, v.Epoch, v.Live)
-	s.fallback.Store(&np)
-	return &np
-}
+// placement resolves the current placement: the one the view service
+// replicates (one atomic load).
+func (s *Service) placement() *wire.DirPlacement { return s.agent.Placement() }
 
-// Directory interface.
+// Shards returns the shard count of the current placement.
+func (s *Service) Shards() int { return len(s.placement().Shards) }
 
-func (s *Service) Shards() int                   { return len(s.placement().Shards) }
+// ShardOf maps an object to its directory shard.
 func (s *Service) ShardOf(obj wire.ObjectID) int { return s.placement().ShardOf(obj) }
+
+// DriversFor returns the driver set of obj's shard (not live-filtered;
+// callers intersect with the view).
 func (s *Service) DriversFor(obj wire.ObjectID) wire.Bitmap {
 	return s.placement().DriversFor(obj)
 }
+
+// DrivesShard reports whether n drives obj's shard.
 func (s *Service) DrivesShard(n wire.NodeID, obj wire.ObjectID) bool {
 	return s.placement().Drives(n, obj)
 }
-func (s *Service) PlacementEpoch() wire.Epoch { return s.placement().Epoch }
-
-// Authoritative is false: a sharded driver may have been force-readied with
-// incomplete entries, so requesters corroborate unknown-object answers.
-func (s *Service) Authoritative() bool { return false }
 
 // Ready reports whether this node may drive obj's shard: false while a
 // freshly assigned shard awaits its metadata snapshot, while a newly
@@ -343,7 +253,7 @@ func (s *Service) viewChanged() {
 		_ = transport.Multicast(s.tr, sources.Nodes(), msg)
 		for _, sh := range shards {
 			sh, ep := int(sh), p.Epoch
-			time.AfterFunc(s.opts.SyncTimeout, func() { s.forceReady(sh, ep) })
+			time.AfterFunc(syncTimeout, func() { s.forceReady(sh, ep) })
 		}
 	}
 	if len(groups) > 0 {
@@ -449,7 +359,7 @@ func (s *Service) handleState(m *wire.DirState) {
 			armed[i] = s.suspect[obj]
 		}
 		s.mu.Unlock()
-		time.AfterFunc(4*s.opts.SyncTimeout, func() {
+		time.AfterFunc(4*syncTimeout, func() {
 			s.mu.Lock()
 			for i, obj := range objs {
 				if cur, ok := s.suspect[obj]; ok && !armed[i].Less(cur) {

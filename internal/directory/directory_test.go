@@ -35,7 +35,7 @@ func newHarness(t *testing.T, nodes, dirShards int) *harness {
 		id := wire.NodeID(i)
 		st := store.New()
 		tr := h.hub.Node(id)
-		svc := NewService(id, st, tr, h.mgr.Agent(id), Options{Shards: dirShards})
+		svc := NewService(id, st, tr, h.mgr.Agent(id))
 		r := transport.NewRouter()
 		svc.Register(r)
 		tr.SetHandler(r.Dispatch)
@@ -43,22 +43,6 @@ func newHarness(t *testing.T, nodes, dirShards int) *harness {
 		h.sts = append(h.sts, st)
 	}
 	return h
-}
-
-func TestStaticShim(t *testing.T) {
-	s := NewStatic(wire.BitmapOf(0, 1, 2))
-	if s.Shards() != 1 || s.ShardOf(99) != 0 {
-		t.Fatal("static shim must be the degenerate 1-shard directory")
-	}
-	if s.DriversFor(7) != wire.BitmapOf(0, 1, 2) {
-		t.Fatalf("drivers = %v", s.DriversFor(7))
-	}
-	if !s.DrivesShard(1, 42) || s.DrivesShard(3, 42) {
-		t.Fatal("DrivesShard must mirror the fixed set")
-	}
-	if !s.Ready(5) {
-		t.Fatal("static directory is always ready")
-	}
 }
 
 func TestServiceResolutionAgreesAcrossNodes(t *testing.T) {

@@ -161,8 +161,8 @@ func (m *Manager) ResetAgent(id wire.NodeID) {
 	m.mu.Unlock()
 }
 
-// Placement returns the latest committed directory placement (§6.2), or nil
-// when the view service replicates none.
+// Placement returns the latest committed directory placement (§6.2); like
+// Agent.Placement, it is never nil.
 func (m *Manager) Placement() *wire.DirPlacement { return m.placement.Load() }
 
 // fanoutState propagates replicated side-state (the directory placement) to
@@ -281,9 +281,9 @@ func (a *Agent) Epoch() wire.Epoch {
 	return a.view.Epoch
 }
 
-// Placement returns the replicated directory placement (§6.2), or nil when
-// the manager's view service replicates none. The returned value and its
-// shard slice are immutable.
+// Placement returns the replicated directory placement (§6.2). It is never
+// nil: the view-service client seeds one in its initial state. The returned
+// value and its shard slice are immutable.
 func (a *Agent) Placement() *wire.DirPlacement { return a.placement.Load() }
 
 // IsLive reports whether node n is live in the agent's view.

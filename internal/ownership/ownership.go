@@ -51,6 +51,10 @@ import (
 // inside the yield window with a drained pipeline.
 const transferYield = 25 * time.Millisecond
 
+// unknownDrivers is how many distinct drivers must answer unknown-object
+// before a request fails with ErrUnknownObject (the directory degree).
+const unknownDrivers = 3
+
 // DefaultRetryPolicy is the NACK/timeout back-off of the ownership protocol
 // (§6.2): exponential with full jitter, unbounded attempts — the Acquire
 // deadline, not the policy, decides when to give up.
@@ -75,16 +79,8 @@ var (
 	ErrClosed = errors.New("ownership: engine closed")
 )
 
-// Config tunes the engine.
+// Config tunes the engine. Zero fields take simulation-friendly defaults.
 type Config struct {
-	// Directory resolves object → shard → arbitration drivers (§6.2). When
-	// nil, the engine falls back to the degenerate 1-shard directory over
-	// DirNodes — the pre-sharding behaviour.
-	Directory directory.Directory
-	// DirNodes is the fixed driver set of the compat shim used when
-	// Directory is nil (the paper's evaluation replicates the directory
-	// across three fixed nodes).
-	DirNodes wire.Bitmap
 	// AttemptTimeout bounds one REQ→final-ACK attempt.
 	AttemptTimeout time.Duration
 	// Deadline bounds the whole Acquire (across retries and back-off).
@@ -103,17 +99,6 @@ type Config struct {
 	OnLatency func(time.Duration)
 }
 
-// DefaultConfig returns simulation-friendly timeouts.
-func DefaultConfig(dirNodes wire.Bitmap) Config {
-	return Config{
-		DirNodes:       dirNodes,
-		AttemptTimeout: 100 * time.Millisecond,
-		Deadline:       5 * time.Second,
-		Retry:          DefaultRetryPolicy(),
-		StaleAfter:     250 * time.Millisecond,
-	}
-}
-
 // Stats aggregates engine counters.
 type Stats struct {
 	Requests  uint64 // ownership requests issued (attempts)
@@ -130,7 +115,7 @@ type Engine struct {
 	tr    transport.Transport
 	agent *membership.Agent
 	cfg   Config
-	dir   directory.Directory
+	dir   *directory.Service
 
 	// HasPendingCommit is wired to the reliable-commit engine: the owner
 	// NACKs ownership requests for objects with pending reliable commits.
@@ -224,9 +209,10 @@ type recovState struct {
 	finished bool
 }
 
-// New creates an ownership engine. Call Register to hook it into a router,
-// and set HasPendingCommit before serving traffic.
-func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent, cfg Config) *Engine {
+// New creates an ownership engine that resolves object → shard →
+// arbitration drivers (§6.2) through dir. Call Register to hook it into a
+// router, and set HasPendingCommit before serving traffic.
+func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membership.Agent, dir *directory.Service, cfg Config) *Engine {
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 100 * time.Millisecond
 	}
@@ -238,10 +224,6 @@ func New(self wire.NodeID, st *store.Store, tr transport.Transport, agent *membe
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 250 * time.Millisecond
-	}
-	dir := cfg.Directory
-	if dir == nil {
-		dir = directory.NewStatic(cfg.DirNodes)
 	}
 	e := &Engine{
 		self:             self,
@@ -297,14 +279,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // DrivesShard reports whether n drives the directory shard of obj (§6.2).
-// With the 1-shard compat directory this degenerates to the old "is n a
-// directory node" check.
 func (e *Engine) DrivesShard(n wire.NodeID, obj wire.ObjectID) bool {
 	return e.dir.DrivesShard(n, obj)
 }
-
-// Directory exposes the engine's directory resolver (tests and tooling).
-func (e *Engine) Directory() directory.Directory { return e.dir }
 
 // send routes self-addressed messages through an in-process queue (a node
 // can be requester, driver and arbiter at once) and everything else through
@@ -426,20 +403,13 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 	defer func() { dropRequest(req) }()
 
 	// unknownFrom collects the DISTINCT drivers that answered
-	// unknown-object. One driver's word is no longer final under the
-	// sharded directory: a driver whose shard sync was force-readied (all
-	// snapshot sources dead or silent) may hold no entry for an object its
-	// peers know. The request only fails as unknown once several distinct
-	// drivers — or every live driver of the shard — agree, and pickDriver
-	// steers retries away from the drivers that already said unknown. The
-	// static compat directory is always authoritative (fixed driver set,
-	// never syncing), so there the first NACK stands and a genuine unknown
-	// object keeps its one-round-trip error.
+	// unknown-object. One driver's word is not final: a driver whose shard
+	// sync was force-readied (all snapshot sources dead or silent) may hold
+	// no entry for an object its peers know. The request only fails as
+	// unknown once unknownDrivers distinct drivers — or every live driver
+	// of the shard — agree, and pickDriver steers retries away from the
+	// drivers that already said unknown.
 	var unknownFrom wire.Bitmap
-	unknownRetries := 3
-	if e.dir.Authoritative() {
-		unknownRetries = 1
-	}
 
 	for {
 		select {
@@ -495,7 +465,7 @@ func (e *Engine) run(obj wire.ObjectID, mode wire.ReqMode, target wire.Bitmap) e
 		case !timedOut && out.reason == wire.NackUnknownObject:
 			unknownFrom = unknownFrom.Add(out.from)
 			liveDrivers := e.dir.DriversFor(obj).Intersect(e.agent.View().Live)
-			if unknownFrom.Count() >= unknownRetries ||
+			if unknownFrom.Count() >= unknownDrivers ||
 				unknownFrom.Intersect(liveDrivers) == liveDrivers {
 				e.resetRequestState(obj)
 				return fmt.Errorf("%w: %d", ErrUnknownObject, obj)

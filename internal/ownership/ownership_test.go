@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"zeus/internal/directory"
 	"zeus/internal/membership"
 	"zeus/internal/store"
 	"zeus/internal/transport"
@@ -16,19 +17,24 @@ import (
 
 // tnode bundles one node's ownership stack for tests.
 type tnode struct {
-	id    wire.NodeID
-	st    *store.Store
-	eng   *Engine
-	tr    *transport.MemTransport
-	agent *membership.Agent
+	id     wire.NodeID
+	st     *store.Store
+	eng    *Engine
+	dir    *directory.Service
+	tr     *transport.MemTransport
+	router *transport.Router
+	agent  *membership.Agent
 }
 
 type tcluster struct {
 	hub   *transport.Hub
 	mgr   *membership.Manager
 	nodes []*tnode
-	dirs  wire.Bitmap
 }
+
+// testDirShards fixes the directory shard count so driver placement does
+// not depend on the host's core count.
+const testDirShards = 4
 
 func newTestCluster(t *testing.T, n int) *tcluster {
 	t.Helper()
@@ -36,26 +42,21 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 	for i := 0; i < n; i++ {
 		members = members.Add(wire.NodeID(i))
 	}
-	dirs := wire.BitmapOf(0, 1, 2)
-	if n < 3 {
-		dirs = members
-	}
 	hub := transport.NewHub()
-	mgr := membership.NewManager(membership.Config{Lease: 2 * time.Millisecond}, members)
-	c := &tcluster{hub: hub, mgr: mgr, dirs: dirs}
+	mgr := membership.NewManager(membership.Config{Lease: 2 * time.Millisecond, DirShards: testDirShards}, members)
+	c := &tcluster{hub: hub, mgr: mgr}
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)
 		st := store.New()
 		tr := hub.Node(id)
 		agent := mgr.Agent(id)
-		cfg := DefaultConfig(dirs)
-		cfg.AttemptTimeout = 100 * time.Millisecond
-		cfg.Deadline = 3 * time.Second
-		eng := New(id, st, tr, agent, cfg)
+		dir := directory.NewService(id, st, tr, agent)
+		eng := New(id, st, tr, agent, dir, Config{Deadline: 3 * time.Second})
 		r := transport.NewRouter()
+		dir.Register(r)
 		eng.Register(r)
 		tr.SetHandler(r.Dispatch)
-		nd := &tnode{id: id, st: st, eng: eng, tr: tr, agent: agent}
+		nd := &tnode{id: id, st: st, eng: eng, dir: dir, tr: tr, router: r, agent: agent}
 		agent.OnChange(func(old, next wire.View, removed wire.Bitmap) {
 			if removed.Count() > 0 {
 				eng.Pause()
@@ -69,6 +70,11 @@ func newTestCluster(t *testing.T, n int) *tcluster {
 		t.Cleanup(func() { eng.Close(); tr.Close() })
 	}
 	return c
+}
+
+// drivers returns obj's directory drivers under the current placement.
+func (c *tcluster) drivers(obj wire.ObjectID) wire.Bitmap {
+	return c.nodes[0].dir.DriversFor(obj)
 }
 
 func (c *tcluster) kill(t *testing.T, id wire.NodeID) {
@@ -160,7 +166,7 @@ func TestCreateEstablishesOwnerAndReaders(t *testing.T) {
 	c.waitLevel(t, 3, 100, wire.Owner)
 	c.waitLevel(t, 1, 100, wire.Reader)
 	// Directory nodes agree on the replica set (VALs apply asynchronously).
-	for _, d := range c.dirs.Nodes() {
+	for _, d := range c.drivers(100).Nodes() {
 		c.waitDir(t, d, 100, func(reps wire.ReplicaSet) bool {
 			return reps.Owner == 3 && reps.Readers.Contains(1)
 		})
@@ -254,11 +260,44 @@ func TestFastPathSkipsProtocol(t *testing.T) {
 	}
 }
 
+// TestUnknownObjectRejected pins the unknown-object rule: the request fails
+// only after distinct drivers corroborate, so at most three REQs, each to a
+// different driver of the object's shard.
 func TestUnknownObjectRejected(t *testing.T) {
-	c := newTestCluster(t, 3)
-	err := c.nodes[2].eng.AcquireOwnership(999)
+	c := newTestCluster(t, 5)
+	const obj = wire.ObjectID(999)
+	drivers := c.drivers(obj)
+	requester := wire.NodeID(wire.NoNode)
+	for _, nd := range c.nodes {
+		if !drivers.Contains(nd.id) {
+			requester = nd.id // every REQ then crosses the hub
+		}
+	}
+	var reqs [5]atomic.Int32
+	for _, nd := range c.nodes {
+		nd.tr.SetHandler(func(from wire.NodeID, m wire.Msg) {
+			if r, ok := m.(*wire.OwnReq); ok && r.Obj == obj {
+				reqs[nd.id].Add(1)
+			}
+			nd.router.Dispatch(from, m)
+		})
+	}
+	before := c.nodes[requester].eng.Stats().Requests
+	err := c.nodes[requester].eng.AcquireOwnership(obj)
 	if !errors.Is(err, ErrUnknownObject) {
 		t.Fatalf("err = %v", err)
+	}
+	if n := c.nodes[requester].eng.Stats().Requests - before; n < 1 || n > 3 {
+		t.Fatalf("unknown object took %d REQs, want 1..3", n)
+	}
+	for id := range reqs {
+		got := reqs[id].Load()
+		if got > 1 {
+			t.Fatalf("node %d received %d REQs; drivers must be distinct", id, got)
+		}
+		if got == 1 && !drivers.Contains(wire.NodeID(id)) {
+			t.Fatalf("REQ sent to non-driver %d (drivers %v)", id, drivers)
+		}
 	}
 }
 
@@ -331,14 +370,17 @@ func TestDropReaderDiscardsReplica(t *testing.T) {
 	c.waitLevel(t, 3, 21, wire.NonReplica)
 	o, _ := c.nodes[3].st.Get(21)
 	o.Mu.Lock()
-	defer o.Mu.Unlock()
-	if o.Data != nil {
-		t.Fatalf("dropped reader kept data %q", o.Data)
+	data := o.Data
+	o.Mu.Unlock()
+	if data != nil {
+		t.Fatalf("dropped reader kept data %q", data)
 	}
 	// Directory no longer lists node 3 (VAL applies asynchronously).
-	c.waitDir(t, 1, 21, func(reps wire.ReplicaSet) bool {
-		return !reps.Readers.Contains(3)
-	})
+	for _, d := range c.drivers(21).Nodes() {
+		c.waitDir(t, d, 21, func(reps wire.ReplicaSet) bool {
+			return !reps.Readers.Contains(3)
+		})
+	}
 }
 
 func TestDeleteRemovesEverywhere(t *testing.T) {
@@ -376,9 +418,10 @@ func TestOwnerDeathNewOwnerTakesOverFromReader(t *testing.T) {
 	c := newTestCluster(t, 5)
 	seed(t, c, 4, 55, wire.BitmapOf(3), []byte("survivor"))
 	c.waitLevel(t, 3, 55, wire.Reader)
+	d := c.drivers(55).Remove(4).Nodes()[0]
 	c.kill(t, 4)
 	// Directory pruned the dead owner.
-	o, _ := c.nodes[0].st.Get(55)
+	o, _ := c.nodes[d].st.Get(55)
 	o.Mu.Lock()
 	if o.Replicas.Owner != wire.NoNode {
 		t.Fatalf("dead owner still recorded: %v", o.Replicas)
@@ -399,16 +442,27 @@ func TestOwnerDeathNewOwnerTakesOverFromReader(t *testing.T) {
 func TestArbReplayCompletesOrphanedRequest(t *testing.T) {
 	c := newTestCluster(t, 5)
 	seed(t, c, 0, 77, 0, []byte("orphan"))
-	// Manufacture a half-finished arbitration: requester node 4 was granted
-	// ownership (INVs applied at all arbiters) but died before sending VALs.
-	ts := wire.OTS{Ver: 2, Node: 1}
-	newReps := wire.ReplicaSet{Owner: 4, Readers: wire.BitmapOf(0)}
-	pend := store.PendingOwn{
-		ReqID: uint64(4)<<48 | 1, TS: ts, Requester: 4, Driver: 1,
-		Mode: wire.AcquireOwner, NewReplicas: newReps, PrevOwner: 0,
-		Arbiters: wire.BitmapOf(0, 1, 2), Epoch: 1,
+	// Manufacture a half-finished arbitration: a requester that drives
+	// nothing for obj 77 was granted ownership (INVs applied at all
+	// arbiters: the drivers plus the owner, node 0) but died before sending
+	// VALs.
+	drivers := c.drivers(77)
+	requester := wire.NodeID(wire.NoNode)
+	for _, id := range c.mgr.View().Live.Nodes() {
+		if id != 0 && !drivers.Contains(id) {
+			requester = id
+		}
 	}
-	for _, id := range []wire.NodeID{0, 1, 2} {
+	driver := drivers.Nodes()[0]
+	arbiters := drivers.Add(0)
+	ts := wire.OTS{Ver: 2, Node: driver}
+	newReps := wire.ReplicaSet{Owner: requester, Readers: wire.BitmapOf(0)}
+	pend := store.PendingOwn{
+		ReqID: uint64(requester)<<48 | 1, TS: ts, Requester: requester, Driver: driver,
+		Mode: wire.AcquireOwner, NewReplicas: newReps, PrevOwner: 0,
+		Arbiters: arbiters, Epoch: 1,
+	}
+	for _, id := range arbiters.Nodes() {
 		o, _ := c.nodes[id].st.Get(77)
 		o.Mu.Lock()
 		p := pend
@@ -416,11 +470,11 @@ func TestArbReplayCompletesOrphanedRequest(t *testing.T) {
 		o.OState = store.OInvalid
 		o.Mu.Unlock()
 	}
-	c.kill(t, 4) // triggers Pause → PruneDead → Resume → ArbReplayAll
+	c.kill(t, requester) // triggers Pause → PruneDead → Resume → ArbReplayAll
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		ok := true
-		for _, id := range []wire.NodeID{0, 1, 2} {
+		for _, id := range arbiters.Nodes() {
 			o, _ := c.nodes[id].st.Get(77)
 			o.Mu.Lock()
 			if o.OState != store.OValid || o.Pending != nil {
@@ -438,14 +492,17 @@ func TestArbReplayCompletesOrphanedRequest(t *testing.T) {
 	}
 	// The request applied: replicas pruned of the dead requester show no
 	// owner, and node 0 retains its replica as reader.
-	o, _ := c.nodes[1].st.Get(77)
+	o, _ := c.nodes[driver].st.Get(77)
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	if o.Replicas.Owner == 4 {
+	if o.Replicas.Owner == requester {
 		t.Fatalf("dead node still owner: %v", o.Replicas)
 	}
-	if replays := c.nodes[0].eng.Stats().Replays + c.nodes[1].eng.Stats().Replays +
-		c.nodes[2].eng.Stats().Replays; replays == 0 {
+	replays := uint64(0)
+	for _, id := range arbiters.Nodes() {
+		replays += c.nodes[id].eng.Stats().Replays
+	}
+	if replays == 0 {
 		t.Fatal("no arb-replays recorded")
 	}
 }
@@ -541,7 +598,7 @@ func TestInvariantSingleOwnerUnderChurn(t *testing.T) {
 		}
 		// Valid directory entries agree with each other.
 		var reps []wire.ReplicaSet
-		for _, d := range c.dirs.Nodes() {
+		for _, d := range c.drivers(wire.ObjectID(i)).Nodes() {
 			o, ok := c.nodes[d].st.Get(wire.ObjectID(i))
 			if !ok {
 				continue

@@ -46,9 +46,10 @@ type Client struct {
 	closed chan struct{}
 	once   sync.Once
 
-	// obs, when set (SetObs, wiring time), holds the cached metric
-	// handles; nil keeps the seed paths.
-	obs *clientObs
+	// obs, when set (SetObs), holds the cached metric handles; nil keeps
+	// the seed paths. Atomic because SetObs runs after pump and renewLoop
+	// have started.
+	obs atomic.Pointer[clientObs]
 }
 
 // NewClient attaches a client to the ensemble at ids over tr, seeded with
@@ -78,7 +79,7 @@ func newClient(cfg Config, tr transport.Transport, ids []wire.NodeID, members wi
 	}
 	c.state = wire.VSState{
 		Index: 0, Epoch: 1, Live: members,
-		Placement: wire.ComputePlacement(c.cfg.DirShards, c.cfg.DirDegree, 1, members),
+		Placement: wire.ComputePlacement(c.cfg.DirShards, dirDegree, 1, members),
 		Addrs:     append([]wire.NodeAddr(nil), c.cfg.InitialAddrs...),
 	}
 	if install {
@@ -205,7 +206,7 @@ func (c *Client) Renew(node wire.NodeID) {
 		return // a recent flush covers us; the sweeper sends the rest
 	}
 	if c.renewFlushed.CompareAndSwap(last, now) {
-		if ob := c.obs; ob != nil && last != 0 && now > last {
+		if ob := c.obs.Load(); ob != nil && last != 0 && now > last {
 			ob.renewLagNS.Record(uint64(now - last))
 		}
 		c.flushRenewals()
@@ -240,7 +241,7 @@ func (c *Client) renewLoop() {
 			if c.renewPending.Load() != 0 {
 				now := time.Now().UnixNano()
 				prev := c.renewFlushed.Swap(now)
-				if ob := c.obs; ob != nil && prev != 0 && now > prev {
+				if ob := c.obs.Load(); ob != nil && prev != 0 && now > prev {
 					ob.renewLagNS.Record(uint64(now - prev))
 				}
 				c.flushRenewals()
@@ -406,7 +407,7 @@ func (c *Client) pump() {
 		recovered := s.Barrier == 0 && (oldBarrier != 0 || (viewChanged && removed != 0))
 		onView, onRecovered, onState := c.onView, c.onRecovered, c.onState
 		c.mu.Unlock()
-		if ob := c.obs; ob != nil {
+		if ob := c.obs.Load(); ob != nil {
 			if viewChanged {
 				ob.epochChanges.Inc()
 				if removed != 0 {

@@ -137,7 +137,7 @@ func TestBarrierAcrossTakeover(t *testing.T) {
 // of the state.
 func TestPlacementRidesTheStateMachine(t *testing.T) {
 	cfg := Config{Lease: time.Millisecond, Heartbeat: time.Millisecond,
-		TakeoverAfter: 5 * time.Millisecond, DirShards: 8, DirDegree: 3}
+		TakeoverAfter: 5 * time.Millisecond, DirShards: 8}
 	r := newRig(t, 3, wire.BitmapOf(0, 1, 2, 3), cfg)
 
 	p := r.cli.State().Placement

@@ -445,8 +445,6 @@ func EncodedSize(m Msg) int {
 		return fixed + len(v.Data)
 	case *OwnResp:
 		return fixed + len(v.Data)
-	case *HermesInv:
-		return fixed + len(v.Val)
 	case *BReadResp:
 		return fixed + len(v.Data)
 	case *BLock:
@@ -596,21 +594,6 @@ func AppendMarshal(dst []byte, m Msg) []byte {
 	case *RecoveryDone:
 		e.epoch(v.Epoch)
 		e.node(v.From)
-	case *HermesInv:
-		e.u64(v.Key)
-		e.ots(v.TS)
-		e.epoch(v.Epoch)
-		e.node(v.From)
-		e.bytes(v.Val)
-	case *HermesAck:
-		e.u64(v.Key)
-		e.ots(v.TS)
-		e.epoch(v.Epoch)
-		e.node(v.From)
-	case *HermesVal:
-		e.u64(v.Key)
-		e.ots(v.TS)
-		e.epoch(v.Epoch)
 	case *BReadReq:
 		e.u64(v.ReqID)
 		e.node(v.From)
@@ -777,12 +760,6 @@ func Unmarshal(p []byte) (Msg, error) {
 		m = &View{Epoch: d.epoch(), Live: d.bitmap()}
 	case KindRecoveryDone:
 		m = &RecoveryDone{Epoch: d.epoch(), From: d.node()}
-	case KindHermesInv:
-		m = &HermesInv{Key: d.u64(), TS: d.ots(), Epoch: d.epoch(), From: d.node(), Val: d.bytes()}
-	case KindHermesAck:
-		m = &HermesAck{Key: d.u64(), TS: d.ots(), Epoch: d.epoch(), From: d.node()}
-	case KindHermesVal:
-		m = &HermesVal{Key: d.u64(), TS: d.ots(), Epoch: d.epoch()}
 	case KindBReadReq:
 		m = &BReadReq{ReqID: d.u64(), From: d.node(), Obj: d.obj()}
 	case KindBReadResp:

@@ -25,11 +25,6 @@ const (
 	KindView         // manager → nodes: new membership view
 	KindRecoveryDone // node → manager: finished replaying pending commits
 
-	// Hermes-lite replicated KV (load balancer substrate).
-	KindHermesInv
-	KindHermesAck
-	KindHermesVal
-
 	// Distributed-commit baseline (FaRM/FaSST-style OCC + 2PC).
 	KindBReadReq
 	KindBReadResp
@@ -76,7 +71,7 @@ func (k Kind) String() string {
 	names := [...]string{
 		"invalid", "own-req", "own-inv", "own-ack", "own-val", "own-nack",
 		"own-resp", "r-inv", "r-ack", "r-val", "view", "recovery-done",
-		"h-inv", "h-ack", "h-val", "b-read-req", "b-read-resp", "b-lock",
+		"b-read-req", "b-read-resp", "b-lock",
 		"b-lock-resp", "b-validate", "b-validate-resp", "b-backup",
 		"b-backup-ack", "b-commit", "b-commit-ack", "b-abort",
 		"vs-propose", "vs-accept", "vs-commit", "vs-lease", "vs-query",
@@ -288,40 +283,6 @@ type RecoveryDone struct {
 }
 
 func (*RecoveryDone) Kind() Kind { return KindRecoveryDone }
-
-// ---------------------------------------------------------------------------
-// Hermes-lite messages (load-balancer KV, §3.1).
-// ---------------------------------------------------------------------------
-
-// HermesInv invalidates a key at all replicas with its new value.
-type HermesInv struct {
-	Key   uint64
-	TS    OTS
-	Epoch Epoch
-	From  NodeID
-	Val   []byte
-}
-
-func (*HermesInv) Kind() Kind { return KindHermesInv }
-
-// HermesAck acknowledges an invalidation.
-type HermesAck struct {
-	Key   uint64
-	TS    OTS
-	Epoch Epoch
-	From  NodeID
-}
-
-func (*HermesAck) Kind() Kind { return KindHermesAck }
-
-// HermesVal validates a key once every replica acked the invalidation.
-type HermesVal struct {
-	Key   uint64
-	TS    OTS
-	Epoch Epoch
-}
-
-func (*HermesVal) Kind() Kind { return KindHermesVal }
 
 // ---------------------------------------------------------------------------
 // Distributed-commit baseline messages (FaRM/FaSST-style, §6.1).

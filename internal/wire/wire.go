@@ -3,9 +3,8 @@
 //
 // Everything that crosses a node boundary in this repository — the ownership
 // protocol (§4 of the paper), the reliable commit protocol (§5), membership
-// views, the Hermes-lite KV used by the load balancer, and the distributed
-// commit baseline — is expressed as a wire.Msg and serialized with
-// wire.Marshal / wire.Unmarshal.
+// views, the directory sync, and the distributed commit baseline — is
+// expressed as a wire.Msg and serialized with wire.Marshal / wire.Unmarshal.
 package wire
 
 import "fmt"

@@ -164,9 +164,6 @@ func allMessages() []Msg {
 		&CommitVal{Tx: TxID{Pipe: PipeID{Node: 2, Worker: 5}, Local: 99}, Epoch: 3},
 		&View{Epoch: 4, Live: BitmapOf(0, 1, 2, 4)},
 		&RecoveryDone{Epoch: 4, From: 2},
-		&HermesInv{Key: 77, TS: OTS{3, 2}, Epoch: 1, From: 2, Val: data},
-		&HermesAck{Key: 77, TS: OTS{3, 2}, Epoch: 1, From: 0},
-		&HermesVal{Key: 77, TS: OTS{3, 2}, Epoch: 1},
 		&BReadReq{ReqID: 5, From: 2, Obj: 10},
 		&BReadResp{ReqID: 5, Obj: 10, Ver: 3, OK: true, Data: data},
 		&BLock{ReqID: 5, From: 2, Items: []BVer{{Obj: 1, Ver: 2}, {Obj: 3, Ver: 4}}},

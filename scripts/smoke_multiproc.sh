@@ -3,8 +3,10 @@
 # TCP (each hosting one view-service replica), take a demo workload, then one
 # node is SIGKILLed and restarted against its durable directory — it must be
 # auto-failed out of the view by the surviving ensemble and rejoin through
-# WAL recovery + state sync. Exercises the whole deployment story end to
-# end: bootstrap, shared control plane, failure detection, durable restart.
+# WAL recovery + state sync, then acquire the demo object from node 2 and
+# commit to it (an ownership move arbitrated by the replicated directory
+# across processes). Exercises the whole deployment story end to end:
+# bootstrap, shared control plane, failure detection, durable restart.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -90,7 +92,7 @@ done
 cat "$WORK/status.txt"
 
 log "restarting node 1 from its durable state (-join: rejoin is state sync)"
-"$BIN/zeusd" -id 1 -listen 127.0.0.1:7001 -view "$VIEW" -join \
+"$BIN/zeusd" -id 1 -listen 127.0.0.1:7001 -view "$VIEW" -join -demo \
   -data "$WORK/data1" -lease 300ms >"$WORK/node1.restart.log" 2>&1 &
 PIDS+=($!)
 
@@ -116,4 +118,16 @@ done
 [ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "restart never reported state sync done"; }
 grep "joined" "$WORK/node1.restart.log"
 
-log "smoke OK: bootstrap, auto-fail, durable rejoin all verified"
+log "waiting for node 1's demo to acquire object 42 from node 2 and commit"
+ok=
+for _ in $(seq 1 100); do
+  grep -q "demo: commits=" "$WORK/node1.restart.log" && { ok=1; break; }
+  sleep 0.2
+done
+[ -n "$ok" ] || { cat "$WORK/node1.restart.log"; fail "node 1 demo never finished"; }
+grep "demo:" "$WORK/node1.restart.log" | tail -3
+commits=$(sed -n 's/.*demo: commits=\([0-9]*\).*/\1/p' "$WORK/node1.restart.log" | tail -1)
+[ -n "$commits" ] && [ "$commits" -gt 0 ] \
+  || { cat "$WORK/node1.restart.log"; fail "node 1 committed nothing after rejoining (commits='${commits:-}')"; }
+
+log "smoke OK: bootstrap, auto-fail, durable rejoin, cross-process acquire all verified"

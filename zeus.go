@@ -10,8 +10,9 @@
 // The package is a facade over the full implementation in internal/: the
 // ownership protocol (§4 of the paper), the reliable commit protocol (§5),
 // the transactional memory API (§7), a lease-based membership service, a
-// simulated datacenter fabric with loss/duplication/reordering, and an
-// application-level load balancer on a Hermes-replicated KV.
+// simulated datacenter fabric with loss/duplication/reordering, and the
+// paper's applications (an HTTP load balancer, a cellular packet gateway's
+// control plane and an SCTP-like transport) ported onto Zeus transactions.
 //
 // Quick start:
 //
@@ -70,9 +71,8 @@ type Options struct {
 	// hashing from the live view; the shard→drivers placement map is
 	// replicated through the view service, so arbitration load spreads
 	// across the cluster and a crashed driver's shards are re-driven after
-	// its lease expires. 0 (the default) scales the shard count with the
-	// host like the store's shards; negative keeps the legacy fixed
-	// three-node directory (the degenerate 1-shard case).
+	// its lease expires. The default (any value <= 0) scales the shard
+	// count with the host like the store's shards.
 	DirectoryShards int
 	// ViewReplicas is the size of the replicated membership (view service)
 	// ensemble backing the deployment (default and maximum 3 — the
